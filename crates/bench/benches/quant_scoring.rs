@@ -1,9 +1,8 @@
 //! Quantized-scoring benchmark (`quant` feature): measures the model
-//! tier of the Fig. 7 serving stack across its three implementations —
-//! the tape-backed f32 session (the Fig. 7 baseline), the fused
-//! graph-free f32 plan, and the calibrated int8 path — then sweeps the
-//! full pipeline quant-on/off across worker counts. Emits
-//! `results/quant.json`.
+//! tier of the Fig. 7 serving stack across its two implementations —
+//! the fused f32 plan (the serving default) and the calibrated int8
+//! path — then sweeps the full pipeline quant-on/off across worker
+//! counts. Emits `results/quant.json`.
 //!
 //! Gates asserted here:
 //! - int8 model-tier throughput ≥ 5× the Fig. 7 run's recorded model
@@ -18,7 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use logsynergy::api::Pipeline;
-use logsynergy::detector::{InferenceSession, THRESHOLD};
+use logsynergy::detector::THRESHOLD;
 use logsynergy::infer::InferencePlan;
 use logsynergy::quant::QuantizedModel;
 use logsynergy_bench::{quick_mode, write_result};
@@ -46,11 +45,9 @@ struct QuantReport {
     f1_f32: f64,
     f1_int8: f64,
     f1_delta: f64,
-    tape_windows_per_sec: f64,
     fused_f32_windows_per_sec: f64,
     int8_windows_per_sec: f64,
-    speedup_fused_vs_tape: f64,
-    speedup_int8_vs_tape: f64,
+    speedup_int8_vs_fused_f32: f64,
     fig7_model_tier_windows_per_sec: f64,
     speedup_int8_vs_fig7_model_tier: f64,
     /// Full-pipeline quant-on/off × workers sweep (logs/s).
@@ -131,14 +128,9 @@ fn main() {
     let plan = InferencePlan::from_model(&model);
     let calibration = plan.calibrate(&calib_windows, table);
     let q = QuantizedModel::from_plan(&plan, &calibration);
-    let mut session = InferenceSession::new(model.clone());
 
-    // ---- model-tier throughput: tape vs fused f32 vs int8 --------------
+    // ---- model-tier throughput: fused f32 vs int8 -----------------------
     println!("model tier ({} windows per call):", windows.len());
-    let tape_wps = best_wps(reps, windows.len(), || {
-        std::hint::black_box(session.score_windows(&windows, table));
-    });
-    println!("  tape f32 session       {tape_wps:>9.0} windows/s");
     let fused_wps = best_wps(reps, windows.len(), || {
         std::hint::black_box(plan.score_windows(&windows, table));
     });
@@ -152,7 +144,7 @@ fn main() {
     );
 
     // ---- accuracy gate --------------------------------------------------
-    let f32_scores = session.score_windows(&windows, table);
+    let f32_scores = plan.score_windows(&windows, table);
     let q_scores = q.score_windows(&windows, table);
     let f32_pred: Vec<bool> = f32_scores.iter().map(|&s| s > THRESHOLD).collect();
     let q_pred: Vec<bool> = q_scores.iter().map(|&s| s > THRESHOLD).collect();
@@ -177,7 +169,7 @@ fn main() {
     );
 
     // ---- throughput gate vs the recorded Fig. 7 model tier --------------
-    let fig7_rate = fig7_model_tier_rate().unwrap_or(tape_wps);
+    let fig7_rate = fig7_model_tier_rate().unwrap_or(fused_wps);
     let speedup_vs_fig7 = int8_wps / fig7_rate.max(1e-9);
     println!("int8 vs Fig. 7 model tier ({fig7_rate:.0} windows/s): {speedup_vs_fig7:.1}x");
     assert!(
@@ -265,11 +257,9 @@ fn main() {
         f1_f32,
         f1_int8,
         f1_delta: (f1_f32 - f1_int8).abs(),
-        tape_windows_per_sec: tape_wps,
         fused_f32_windows_per_sec: fused_wps,
         int8_windows_per_sec: int8_wps,
-        speedup_fused_vs_tape: fused_wps / tape_wps.max(1e-9),
-        speedup_int8_vs_tape: int8_wps / tape_wps.max(1e-9),
+        speedup_int8_vs_fused_f32: int8_wps / fused_wps.max(1e-9),
         fig7_model_tier_windows_per_sec: fig7_rate,
         speedup_int8_vs_fig7_model_tier: speedup_vs_fig7,
         pipeline_sweep,

@@ -1,131 +1,17 @@
 //! Online detection (paper §III-E): score sequences with the trained
 //! `F` + `C_anomaly`, threshold at 0.5, and build anomaly reports that
 //! combine the LEI interpretations with the score.
-
-use std::sync::Arc;
-
-use logsynergy_nn::graph::Graph;
-use logsynergy_nn::kernels::arena;
-use logsynergy_nn::Tensor;
+//!
+//! Scoring runs the fused [`InferencePlan`], the same f32 forward that
+//! serving uses, so offline verdicts and served verdicts are the same
+//! bits.
 
 use crate::data::{PreparedSystem, SeqSample};
+use crate::infer::InferencePlan;
 use crate::model::LogSynergyModel;
 
 /// The paper's fixed decision threshold (§III-E, §IV-A3).
 pub const THRESHOLD: f32 = 0.5;
-
-/// Scores one chunked sweep of `windows` through the model on `graph`,
-/// resetting the tape between chunks so every forward re-traces into
-/// recycled arena buffers. Shared by [`Detector`] (one-shot tape) and
-/// [`InferenceSession`] (long-lived tape).
-fn forward_scores(
-    model: &LogSynergyModel,
-    graph: &Graph,
-    batch_size: usize,
-    windows: &[&[u32]],
-    embeddings: &[Vec<f32>],
-    out: &mut Vec<f32>,
-) {
-    let cfg = model.config();
-    let (t, d) = (cfg.max_len, cfg.embed_dim);
-    let mut dummy_rng = rand::rngs::mock::StepRng::new(0, 1);
-    for chunk in windows.chunks(batch_size) {
-        graph.reset();
-        let b = chunk.len();
-        // Embedding-gather scratch comes from the kernel arena: after the
-        // first call the buffer is recycled from the previous tape, so the
-        // steady-state hot path performs no allocator round-trips.
-        let mut xb = arena::take_zeroed(b * t * d);
-        for (row, events) in chunk.iter().enumerate() {
-            for (step, &e) in events.iter().take(t).enumerate() {
-                xb[(row * t + step) * d..(row * t + step + 1) * d]
-                    .copy_from_slice(&embeddings[e as usize]);
-            }
-        }
-        let x = graph.input(Tensor::new(xb, &[b, t, d]));
-        let f = model.features(graph, x, &mut dummy_rng);
-        let logits = model.anomaly_logits(graph, f);
-        graph.with_value(logits, |l| {
-            out.extend(l.data().iter().map(|&v| 1.0 / (1.0 + (-v).exp())));
-        });
-    }
-    graph.reset();
-}
-
-/// A reusable inference workflow over a shared trained model: one
-/// long-lived inference tape plus arena-recycled scratch, so batched
-/// serving calls stop paying per-call graph and buffer allocations.
-///
-/// Scores are a pure function of `(model, window, embeddings)` — bitwise
-/// identical whatever the batch size or how calls are grouped (the PR 1
-/// kernel determinism contract extends to the batch dimension because
-/// every output element's reduction order is fixed per row).
-pub struct InferenceSession {
-    model: Arc<LogSynergyModel>,
-    batch_size: usize,
-    graph: Graph,
-}
-
-impl InferenceSession {
-    /// Creates a session over a shared model with the default batch size.
-    pub fn new(model: Arc<LogSynergyModel>) -> Self {
-        InferenceSession {
-            model,
-            batch_size: 256,
-            graph: Graph::inference(),
-        }
-    }
-
-    /// Sets the maximum forward batch size.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        assert!(batch_size > 0);
-        self.batch_size = batch_size;
-        self
-    }
-
-    /// The underlying model.
-    pub fn model(&self) -> &LogSynergyModel {
-        &self.model
-    }
-
-    /// A sibling session over the same shared model with a fresh tape
-    /// (e.g. one per serving worker thread).
-    pub fn fork(&self) -> Self {
-        InferenceSession {
-            model: Arc::clone(&self.model),
-            batch_size: self.batch_size,
-            graph: Graph::inference(),
-        }
-    }
-
-    /// Anomaly probabilities for a batch of raw event-id windows.
-    pub fn score_windows(&mut self, windows: &[&[u32]], embeddings: &[Vec<f32>]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(windows.len());
-        forward_scores(
-            &self.model,
-            &self.graph,
-            self.batch_size,
-            windows,
-            embeddings,
-            &mut out,
-        );
-        out
-    }
-
-    /// Anomaly probability for a single window.
-    pub fn score_one(&mut self, events: &[u32], embeddings: &[Vec<f32>]) -> f32 {
-        let mut out = Vec::with_capacity(1);
-        forward_scores(
-            &self.model,
-            &self.graph,
-            self.batch_size,
-            &[events],
-            embeddings,
-            &mut out,
-        );
-        out[0]
-    }
-}
 
 /// An anomaly report, as emitted to operators in deployment (§VI-A
 /// "Report"): the triggering sequence, its interpretations, and the score.
@@ -140,24 +26,21 @@ pub struct AnomalyReport {
 }
 
 /// Batch scorer over a trained model.
-pub struct Detector<'a> {
-    model: &'a LogSynergyModel,
-    batch_size: usize,
+pub struct Detector {
+    plan: InferencePlan,
 }
 
-impl<'a> Detector<'a> {
+impl Detector {
     /// Creates a detector with a default inference batch size.
-    pub fn new(model: &'a LogSynergyModel) -> Self {
+    pub fn new(model: &LogSynergyModel) -> Self {
         Detector {
-            model,
-            batch_size: 256,
+            plan: InferencePlan::from_model(model),
         }
     }
 
     /// Sets the inference batch size.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        assert!(batch_size > 0);
-        self.batch_size = batch_size;
+        self.plan = self.plan.with_batch_size(batch_size);
         self
     }
 
@@ -165,17 +48,7 @@ impl<'a> Detector<'a> {
     /// sample's own system's table).
     pub fn scores(&self, samples: &[SeqSample], embeddings: &[Vec<f32>]) -> Vec<f32> {
         let windows: Vec<&[u32]> = samples.iter().map(|s| s.events.as_slice()).collect();
-        let graph = Graph::inference();
-        let mut out = Vec::with_capacity(samples.len());
-        forward_scores(
-            self.model,
-            &graph,
-            self.batch_size,
-            &windows,
-            embeddings,
-            &mut out,
-        );
-        out
+        self.plan.score_windows(&windows, embeddings)
     }
 
     /// Binary decisions at the paper's 0.5 threshold.
@@ -282,40 +155,30 @@ mod tests {
             .with_batch_size(100)
             .scores(&samples, &embeddings());
         for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-5);
+            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
     #[test]
-    fn session_matches_detector_bitwise() {
-        let model = Arc::new(tiny_model());
+    fn detector_matches_tape_bitwise() {
+        let model = tiny_model();
         let samples: Vec<SeqSample> = (0..13)
             .map(|i| SeqSample {
                 events: vec![i % 2, (i + 1) % 2, 0, 1],
                 label: false,
             })
             .collect();
-        let via_detector = Detector::new(&model).scores(&samples, &embeddings());
         let windows: Vec<&[u32]> = samples.iter().map(|s| s.events.as_slice()).collect();
-
-        let mut session = InferenceSession::new(Arc::clone(&model)).with_batch_size(4);
-        let batched = session.score_windows(&windows, &embeddings());
-        // Reusing the same session (tape already traced once) must not
-        // perturb anything either.
-        let again = session.score_windows(&windows, &embeddings());
-        let one_by_one: Vec<f32> = windows
-            .iter()
-            .map(|w| session.score_one(w, &embeddings()))
-            .collect();
-
-        for (i, &expect) in via_detector.iter().enumerate() {
-            assert_eq!(expect.to_bits(), batched[i].to_bits(), "window {i} batched");
-            assert_eq!(expect.to_bits(), again[i].to_bits(), "window {i} reused");
-            assert_eq!(
-                expect.to_bits(),
-                one_by_one[i].to_bits(),
-                "window {i} single"
-            );
+        let tape = crate::infer::tape_scores(&model, &windows, &embeddings());
+        let det = Detector::new(&model).with_batch_size(4);
+        // The second call reuses the thread's scratch from the first.
+        for scores in [
+            det.scores(&samples, &embeddings()),
+            det.scores(&samples, &embeddings()),
+        ] {
+            for (i, (got, want)) in scores.iter().zip(&tape).enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "window {i}");
+            }
         }
     }
 

@@ -1,21 +1,31 @@
 //! Fused, graph-free inference for the frozen serving model (`F` +
-//! `C_anomaly`): the tape-based [`crate::detector::InferenceSession`]
-//! re-traces the autograd graph every chunk; this plan runs the same math
-//! straight through reused scratch buffers with the transformer hot path
-//! fused — QKV as one `[d, 3d]` GEMM, attention per `(batch, head)`
-//! against a single `[T, T]` score scratch, and the GELU fast path applied
-//! in place inside the MLP sweep.
+//! `C_anomaly`) — the one f32 scoring forward. Serving
+//! (`pipeline::ModelScorer`), offline evaluation
+//! ([`crate::detector::Detector`]), and int8 calibration all run it. It
+//! computes the tape's forward (`LogSynergyModel::features` →
+//! `anomaly_logits`) straight through reused scratch buffers, with the
+//! transformer hot path fused — QKV as one `[d, 3d]` GEMM, attention per
+//! `(batch, head)` against a single `[T, T]` score scratch, and the GELU
+//! fast path applied in place inside the MLP sweep. The autograd tape is
+//! for training only.
 //!
-//! **Bitwise contract:** scores are bit-identical to
-//! `InferenceSession::score_windows` / `Detector::scores` for every window
-//! and batch size. Every step reuses the exact tape kernels (see
-//! [`logsynergy_nn::infer`]); the test suite pins this end-to-end on a
-//! trained model.
+//! **Bitwise contract:** scores are bit-identical to the tape forward on
+//! `Graph::inference()` for every window, window length, call size, and
+//! batch size. Every step reuses the exact tape kernels (see
+//! [`logsynergy_nn::infer`]); the tests pin this against a tape reference.
+//!
+//! **Scratch reuse:** scoring takes `&self`, so one plan is shared by
+//! every serving worker with no lock. Each thread keeps one forward
+//! scratch, keyed to the shape of the plan that last used it and grown to
+//! the largest chunk that shape has scored, so steady-state calls
+//! allocate nothing beyond their output.
 //!
 //! The plan also drives **calibration** for the int8 path (`quant`
 //! feature): [`InferencePlan::calibrate`] runs the f32 forward over a
 //! corpus and records the absolute maximum seen at every GEMM input,
 //! which fixes the per-tensor activation scales of the quantized model.
+
+use std::cell::RefCell;
 
 use logsynergy_nn::infer as nni;
 use logsynergy_nn::layers::{Activation, Linear};
@@ -86,8 +96,25 @@ fn absmax_update(slot: &mut f32, xs: &[f32]) {
     }
 }
 
-/// Reused forward scratch, sized once for the plan's batch size.
+/// Every scratch dimension except the window count. A scratch is reused
+/// only by a plan of the same shape, so two differently shaped plans on
+/// one thread never share a buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Shape {
+    t: usize,
+    embed: usize,
+    d: usize,
+    head_dim: usize,
+    ff: usize,
+    head_max: usize,
+}
+
+/// Forward scratch for up to `windows` windows per chunk. Every buffer is
+/// overwritten (or zeroed) before it is read, so reuse across calls and
+/// chunk sizes cannot leak state into a score.
 struct Scratch {
+    shape: Shape,
+    windows: usize,
     x: Vec<f32>,
     h: Vec<f32>,
     n: Vec<f32>,
@@ -105,18 +132,19 @@ struct Scratch {
 }
 
 impl Scratch {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        bs: usize,
-        t: usize,
-        embed: usize,
-        d: usize,
-        head_dim: usize,
-        ff: usize,
-        head_max: usize,
-    ) -> Self {
-        let rows = bs * t;
+    fn new(shape: Shape, windows: usize) -> Self {
+        let Shape {
+            t,
+            embed,
+            d,
+            head_dim,
+            ff,
+            head_max,
+        } = shape;
+        let rows = windows * t;
         Scratch {
+            shape,
+            windows,
             x: vec![0.0; rows * embed],
             h: vec![0.0; rows * d],
             n: vec![0.0; rows * d],
@@ -128,18 +156,23 @@ impl Scratch {
             a: vec![0.0; rows * d],
             hidden: vec![0.0; rows * ff],
             attn: nni::AttnScratch::new(t, head_dim),
-            pooled: vec![0.0; bs * d],
-            feat: vec![0.0; bs * head_max],
-            head: vec![0.0; bs * head_max],
+            pooled: vec![0.0; windows * d],
+            feat: vec![0.0; windows * head_max],
+            head: vec![0.0; windows * head_max],
         }
     }
 }
 
+thread_local! {
+    /// This thread's forward scratch, left by the last plan that scored on
+    /// it and grown to the largest chunk seen for that plan's shape.
+    static SCRATCH: RefCell<Option<Scratch>> = const { RefCell::new(None) };
+}
+
 /// A frozen, fused inference plan over copied model weights.
 ///
-/// Build once per worker with [`InferencePlan::from_model`], then call
-/// [`InferencePlan::score_windows`] — same signature and bit-identical
-/// output as the tape session, several times faster.
+/// Build once with [`InferencePlan::from_model`], share it (e.g. in an
+/// `Arc`), and call [`InferencePlan::score_windows`] from any thread.
 pub struct InferencePlan {
     pub(crate) t: usize,
     pub(crate) embed: usize,
@@ -252,15 +285,15 @@ impl InferencePlan {
         }
     }
 
-    /// Sets the maximum forward batch size (default 256, matching the tape
-    /// session).
+    /// Sets the maximum forward batch size (default 256). Scores do not
+    /// depend on it; it bounds the scratch a thread keeps.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         assert!(batch_size > 0);
         self.batch_size = batch_size;
         self
     }
 
-    fn scratch(&self) -> Scratch {
+    fn shape(&self) -> Shape {
         let head_max = self
             .head
             .iter()
@@ -268,25 +301,41 @@ impl InferencePlan {
             .max()
             .unwrap_or(1)
             .max(self.d);
-        Scratch::new(
-            self.batch_size,
-            self.t,
-            self.embed,
-            self.d,
-            self.head_dim,
-            self.ff,
+        Shape {
+            t: self.t,
+            embed: self.embed,
+            d: self.d,
+            head_dim: self.head_dim,
+            ff: self.ff,
             head_max,
-        )
+        }
     }
 
-    /// Anomaly probabilities for a batch of raw event-id windows — the
-    /// fused equivalent of `InferenceSession::score_windows`.
+    /// Runs `forward` over `windows` in `batch_size` chunks, on this
+    /// thread's scratch. The scratch is taken out of the thread-local slot
+    /// for the call (a panicking forward just drops it) and replaced when
+    /// it belongs to another shape or holds fewer windows than the largest
+    /// chunk of this call.
+    fn for_each_chunk(&self, windows: &[&[u32]], mut forward: impl FnMut(&mut Scratch, &[&[u32]])) {
+        let shape = self.shape();
+        let need = windows.len().min(self.batch_size);
+        let cached = SCRATCH.try_with(|slot| slot.take()).ok().flatten();
+        let mut scratch = match cached {
+            Some(s) if s.shape == shape && s.windows >= need => s,
+            _ => Scratch::new(shape, need),
+        };
+        for chunk in windows.chunks(self.batch_size) {
+            forward(&mut scratch, chunk);
+        }
+        let _ = SCRATCH.try_with(|slot| slot.replace(Some(scratch)));
+    }
+
+    /// Anomaly probabilities for a batch of raw event-id windows.
     pub fn score_windows(&self, windows: &[&[u32]], embeddings: &[Vec<f32>]) -> Vec<f32> {
         let mut out = Vec::with_capacity(windows.len());
-        let mut scratch = self.scratch();
-        for chunk in windows.chunks(self.batch_size) {
-            self.forward_chunk(&mut scratch, chunk, embeddings, &mut out, None);
-        }
+        self.for_each_chunk(windows, |s, chunk| {
+            self.forward_chunk(s, chunk, embeddings, &mut out, None)
+        });
         out
     }
 
@@ -305,16 +354,15 @@ impl InferencePlan {
             ..Default::default()
         };
         let mut out = Vec::with_capacity(windows.len());
-        let mut scratch = self.scratch();
-        for chunk in windows.chunks(self.batch_size) {
-            self.forward_chunk(&mut scratch, chunk, embeddings, &mut out, Some(&mut calib));
-        }
+        self.for_each_chunk(windows, |s, chunk| {
+            self.forward_chunk(s, chunk, embeddings, &mut out, Some(&mut calib))
+        });
         calib
     }
 
     /// One fused forward over up to `batch_size` windows, appending
-    /// sigmoid probabilities to `out`. Mirrors the tape's `forward_scores`
-    /// chunk body step for step.
+    /// sigmoid probabilities to `out`. Mirrors the tape forward
+    /// (`features` → `anomaly_logits`) step for step.
     fn forward_chunk(
         &self,
         s: &mut Scratch,
@@ -464,26 +512,60 @@ impl InferencePlan {
     }
 }
 
+/// The tape forward the plan is pinned against: one `Graph::inference()`
+/// trace of `features` → `anomaly_logits` over all `windows`, each
+/// zero-padded (or truncated) to `max_len`.
+#[cfg(test)]
+pub(crate) fn tape_scores(
+    model: &LogSynergyModel,
+    windows: &[&[u32]],
+    embeddings: &[Vec<f32>],
+) -> Vec<f32> {
+    use logsynergy_nn::graph::Graph;
+    use logsynergy_nn::Tensor;
+
+    let cfg = model.config();
+    let (b, t, d) = (windows.len(), cfg.max_len, cfg.embed_dim);
+    let mut x = vec![0.0f32; b * t * d];
+    for (row, events) in windows.iter().enumerate() {
+        for (step, &e) in events.iter().take(t).enumerate() {
+            x[(row * t + step) * d..(row * t + step + 1) * d]
+                .copy_from_slice(&embeddings[e as usize]);
+        }
+    }
+    let graph = Graph::inference();
+    let x = graph.input(Tensor::new(x, &[b, t, d]));
+    let mut no_dropout = rand::rngs::mock::StepRng::new(0, 1);
+    let f = model.features(&graph, x, &mut no_dropout);
+    let logits = model.anomaly_logits(&graph, f);
+    graph.with_value(logits, |l| {
+        l.data().iter().map(|&v| 1.0 / (1.0 + (-v).exp())).collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
-    use crate::data::SeqSample;
-    use crate::detector::Detector;
 
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
-    fn tiny_model() -> LogSynergyModel {
+    fn model(max_len: usize, embed: usize, d: usize, ff: usize, layers: usize) -> LogSynergyModel {
         let mut cfg = ModelConfig::scaled(2);
-        cfg.embed_dim = 8;
-        cfg.d_model = 8;
+        cfg.embed_dim = embed;
+        cfg.d_model = d;
         cfg.heads = 2;
-        cfg.ff = 16;
-        cfg.layers = 2;
+        cfg.ff = ff;
+        cfg.layers = layers;
         cfg.head_hidden = 8;
-        cfg.max_len = 4;
+        cfg.max_len = max_len;
         let mut rng = rand::rngs::StdRng::seed_from_u64(101);
         LogSynergyModel::new(cfg, &mut rng)
+    }
+
+    fn tiny_model() -> LogSynergyModel {
+        model(4, 8, 8, 16, 2)
     }
 
     fn embeddings() -> Vec<Vec<f32>> {
@@ -494,23 +576,29 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn plan_matches_detector_bitwise() {
-        let model = tiny_model();
-        let samples: Vec<SeqSample> = (0..13)
-            .map(|i| SeqSample {
-                events: vec![i % 3, (i + 1) % 2, 0, 2],
-                label: false,
-            })
-            .collect();
-        let want = Detector::new(&model).scores(&samples, &embeddings());
-        let windows: Vec<&[u32]> = samples.iter().map(|s| s.events.as_slice()).collect();
-        let plan = InferencePlan::from_model(&model).with_batch_size(4);
-        let got = plan.score_windows(&windows, &embeddings());
+    fn assert_bits(got: &[f32], want: &[f32]) {
         assert_eq!(got.len(), want.len());
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "window {i}: {g} vs {w}");
         }
+    }
+
+    #[test]
+    fn plan_matches_tape_bitwise() {
+        let model = tiny_model();
+        let owned: Vec<Vec<u32>> = (0..13).map(|i| vec![i % 3, (i + 1) % 2, 0, 2]).collect();
+        let windows: Vec<&[u32]> = owned.iter().map(|w| w.as_slice()).collect();
+        let plan = InferencePlan::from_model(&model).with_batch_size(4);
+        let want = tape_scores(&model, &windows, &embeddings());
+        assert_bits(&plan.score_windows(&windows, &embeddings()), &want);
+        // A second call reuses this thread's scratch; so does scoring one
+        // window at a time.
+        assert_bits(&plan.score_windows(&windows, &embeddings()), &want);
+        let one_by_one: Vec<f32> = windows
+            .iter()
+            .map(|w| plan.score_one(w, &embeddings()))
+            .collect();
+        assert_bits(&one_by_one, &want);
     }
 
     #[test]
@@ -518,27 +606,10 @@ mod tests {
         // Probe windows are shorter than max_len; the tape zero-pads the
         // gather. The plan must reproduce that exactly.
         let model = tiny_model();
-        let samples: Vec<SeqSample> = vec![
-            SeqSample {
-                events: vec![0],
-                label: false,
-            },
-            SeqSample {
-                events: vec![1, 2],
-                label: false,
-            },
-            SeqSample {
-                events: vec![2, 0, 1],
-                label: false,
-            },
-        ];
-        let want = Detector::new(&model).scores(&samples, &embeddings());
-        let windows: Vec<&[u32]> = samples.iter().map(|s| s.events.as_slice()).collect();
+        let windows: Vec<&[u32]> = vec![&[0], &[1, 2], &[2, 0, 1]];
         let plan = InferencePlan::from_model(&model);
         let got = plan.score_windows(&windows, &embeddings());
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
+        assert_bits(&got, &tape_scores(&model, &windows, &embeddings()));
     }
 
     #[test]
@@ -554,9 +625,7 @@ mod tests {
         let b = InferencePlan::from_model(&model)
             .with_batch_size(100)
             .score_windows(&windows, &embeddings());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert_bits(&a, &b);
     }
 
     #[test]
@@ -573,5 +642,65 @@ mod tests {
             assert!(l.qkv_in > 0.0 && l.wo_in > 0.0 && l.ff1_in > 0.0 && l.ff2_in > 0.0);
         }
         assert_eq!(calib.head_hidden.len(), 1);
+    }
+
+    /// A deterministic `[3, dim]` embedding table.
+    fn table(dim: usize) -> Vec<Vec<f32>> {
+        (0..3)
+            .map(|e| {
+                (0..dim)
+                    .map(|j| ((e * 7 + j * 3) % 5) as f32 * 0.25 - 0.5)
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The plan equals the tape bit for bit however this thread's
+        /// reused scratch was left: call sizes around the batch size in a
+        /// small → large → small → large order, a calibration pass in
+        /// between, each plan on its own and then two plans of different
+        /// shapes alternating on the thread.
+        #[test]
+        fn plan_matches_tape_under_scratch_reuse(
+            pool in proptest::collection::vec(proptest::collection::vec(0u32..3, 1..=6), 12),
+            batch_size in 2usize..6,
+        ) {
+            let short = model(4, 8, 8, 16, 2);
+            let wide = model(6, 6, 12, 24, 1);
+            let plans = [
+                (&short, table(8), InferencePlan::from_model(&short).with_batch_size(batch_size)),
+                (&wide, table(6), InferencePlan::from_model(&wide).with_batch_size(batch_size + 1)),
+            ];
+            let sizes = [1, batch_size + 1, 1, batch_size, batch_size - 1];
+            let one_plan_at_a_time = (0..2).flat_map(|p| (0..sizes.len()).map(move |c| (p, c)));
+            let alternating = (0..sizes.len()).flat_map(|c| (0..2).map(move |p| (p, c)));
+            for (p, call) in one_plan_at_a_time.chain(alternating) {
+                let (m, emb, plan) = &plans[p];
+                let n = sizes[call];
+                let windows: Vec<&[u32]> = pool
+                    .iter()
+                    .cycle()
+                    .skip(call * 5)
+                    .take(n)
+                    .map(|w| w.as_slice())
+                    .collect();
+                let want = tape_scores(m, &windows, emb);
+                let got = if n == 1 {
+                    vec![plan.score_one(windows[0], emb)]
+                } else {
+                    plan.score_windows(&windows, emb)
+                };
+                prop_assert_eq!(got.len(), want.len());
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(g.to_bits(), w.to_bits(), "plan {} call {} window {}", p, call, i);
+                }
+                if call == 1 {
+                    plan.calibrate(&windows, emb);
+                }
+            }
+        }
     }
 }

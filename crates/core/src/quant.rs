@@ -253,8 +253,9 @@ impl QuantizedModel {
         self
     }
 
-    fn scratch(&self) -> QScratch {
-        let rows = self.batch_size * self.t;
+    /// Scratch for chunks of up to `windows` windows.
+    fn scratch(&self, windows: usize) -> QScratch {
+        let rows = windows * self.t;
         let head_max = self
             .head
             .iter()
@@ -274,9 +275,9 @@ impl QuantizedModel {
             concat: vec![0.0; rows * self.d],
             hidden: vec![0.0; rows * self.ff],
             attn: nni::AttnScratch::new(self.t, self.head_dim),
-            pooled: vec![0.0; self.batch_size * self.d],
-            feat: vec![0.0; self.batch_size * head_max],
-            head: vec![0.0; self.batch_size * head_max],
+            pooled: vec![0.0; windows * self.d],
+            feat: vec![0.0; windows * head_max],
+            head: vec![0.0; windows * head_max],
             qa: vec![0; gemm_in],
             acc: vec![0; gemm_in],
         }
@@ -286,7 +287,7 @@ impl QuantizedModel {
     /// int8 counterpart of [`InferencePlan::score_windows`].
     pub fn score_windows(&self, windows: &[&[u32]], embeddings: &[Vec<f32>]) -> Vec<f32> {
         let mut out = Vec::with_capacity(windows.len());
-        let mut s = self.scratch();
+        let mut s = self.scratch(windows.len().min(self.batch_size));
         for chunk in windows.chunks(self.batch_size) {
             self.forward_chunk(&mut s, chunk, embeddings, &mut out);
         }

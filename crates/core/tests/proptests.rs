@@ -64,7 +64,7 @@ proptest! {
         prop_assert_eq!(a.len(), samples.len());
         for (&x, &y) in a.iter().zip(&b) {
             prop_assert!((0.0..=1.0).contains(&x));
-            prop_assert!((x - y).abs() < 1e-5, "batching changed a score: {x} vs {y}");
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "batching changed a score: {} vs {}", x, y);
         }
     }
 }

@@ -206,28 +206,6 @@ impl Graph {
         }
     }
 
-    /// Clears the tape for reuse, recycling every uniquely-owned buffer
-    /// into the kernel arena (same policy as `Drop`). A long-lived
-    /// inference graph calls this between forward passes so steady-state
-    /// serving re-traces the tape into recycled storage instead of
-    /// constructing a graph (and its allocations) per call.
-    pub fn reset(&self) {
-        let mut nodes = self.nodes.borrow_mut();
-        // Backward closures hold copy-on-write aliases of node values; drop
-        // them first so the node is the last owner and recycling reclaims
-        // the buffer.
-        for node in nodes.iter_mut() {
-            node.backward = None;
-        }
-        for node in nodes.drain(..) {
-            node.value.recycle();
-            if let Some(grad) = node.grad {
-                grad.recycle();
-            }
-        }
-        self.bindings.borrow_mut().clear();
-    }
-
     /// Heap bytes held by the tape: every distinct value/gradient buffer,
     /// deduplicated by storage identity.
     ///
@@ -375,24 +353,9 @@ mod tests {
 
     #[test]
     fn graph_is_send() {
-        // Serving workers own long-lived inference tapes; the tape must be
-        // movable into a worker thread.
+        // A tape must stay movable between threads.
         fn assert_send<T: Send>() {}
         assert_send::<Graph>();
-    }
-
-    #[test]
-    fn reset_clears_tape_for_reuse() {
-        let g = Graph::inference();
-        let x = g.input(Tensor::new(vec![1.0, 2.0], &[2]));
-        let y = crate::ops::scale(&g, x, 3.0);
-        assert_eq!(g.value(y).data(), &[3.0, 6.0]);
-        g.reset();
-        assert!(g.is_empty());
-        // The tape is reusable after reset and computes fresh values.
-        let x = g.input(Tensor::new(vec![5.0], &[1]));
-        let y = crate::ops::scale(&g, x, 2.0);
-        assert_eq!(g.value(y).data(), &[10.0]);
     }
 
     #[test]

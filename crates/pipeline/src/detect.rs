@@ -14,9 +14,9 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use logsynergy::detector::{InferenceSession, THRESHOLD};
+use logsynergy::detector::THRESHOLD;
+use logsynergy::infer::InferencePlan;
 use logsynergy::model::LogSynergyModel;
-use parking_lot::Mutex;
 
 use crate::cache::ScoreCache;
 use crate::error::{DeadLetter, PipelineError};
@@ -83,12 +83,13 @@ pub trait SequenceScorer: Send {
     }
 }
 
-/// The production scorer: a reusable inference session over a trained
-/// LogSynergy model. The model is shared (`Arc`); each clone forks a
-/// private session (tape + scratch), so every serving worker scores
-/// against the same weights without copying them.
+/// The production scorer: the fused f32 [`InferencePlan`] of a trained
+/// LogSynergy model. Clones share the plan (`Arc`) and score through
+/// `&self` with no lock; each scoring thread reuses its own forward
+/// scratch, so serving workers never contend on the model.
+#[derive(Clone)]
 pub struct ModelScorer {
-    session: Mutex<InferenceSession>,
+    plan: Arc<InferencePlan>,
 }
 
 impl ModelScorer {
@@ -100,26 +101,18 @@ impl ModelScorer {
     /// Wraps an already-shared trained model.
     pub fn shared(model: Arc<LogSynergyModel>) -> Self {
         ModelScorer {
-            session: Mutex::new(InferenceSession::new(model)),
-        }
-    }
-}
-
-impl Clone for ModelScorer {
-    fn clone(&self) -> Self {
-        ModelScorer {
-            session: Mutex::new(self.session.lock().fork()),
+            plan: Arc::new(InferencePlan::from_model(&model)),
         }
     }
 }
 
 impl SequenceScorer for ModelScorer {
     fn score(&self, events: &[u32], table: &[Vec<f32>]) -> f32 {
-        self.session.lock().score_one(events, table)
+        self.plan.score_one(events, table)
     }
 
     fn score_batch(&self, windows: &[&[u32]], table: &[Vec<f32>]) -> Vec<f32> {
-        self.session.lock().score_windows(windows, table)
+        self.plan.score_windows(windows, table)
     }
 }
 

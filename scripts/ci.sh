@@ -13,6 +13,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test --workspace -q
 
+echo "==> benchmark ledger build + unit tests"
+# The ledger (ledger/, its own package) drives the serving API
+# (ModelScorer::shared, SequenceScorer, logsynergy_serve::start); building
+# it here makes a break in that API fail CI, not the benchmark run.
+cargo build --release --offline --manifest-path ledger/Cargo.toml
+cargo test --release --offline --manifest-path ledger/Cargo.toml
+
 echo "==> telemetry off-feature build (instrumentation must compile out)"
 cargo check -p logsynergy-telemetry --no-default-features
 
